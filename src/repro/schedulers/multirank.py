@@ -46,6 +46,7 @@ Entry point: :func:`simulate_heterogeneous`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -158,6 +159,9 @@ class _Collective:
             self.start_time = self._sim.now
             if self._pricer is not None:
                 self.duration = self._pricer(self.start_time)
+            if not math.isfinite(self.duration):
+                raise ValueError(f"collective {self.done.name!r} has "
+                                 f"non-finite duration {self.duration}")
             self._sim.schedule(self.duration, lambda: self.done.succeed())
 
     def body(self):

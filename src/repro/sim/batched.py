@@ -1,38 +1,44 @@
-"""Config-axis batched replay for stacks of recorded timelines.
+"""Config-axis replay for groups of recorded timelines.
 
-:mod:`repro.sim.fastpath` replays one recorded schedule in closed form;
-:mod:`repro.sim.multirank_fastpath` adds a rank axis.  This module adds
-the third axis — *configs*: a sweep of structurally identical schedules
-(same stream layout, same gate graph, different durations) stacks into
-one ``(configs, slots)`` or ``(configs, slots, world)`` duration tensor
-and replays with a handful of numpy ops, instead of one replay call per
-config.  Policy sweeps, fusion-plan grids, and fault-scenario matrices
-all produce exactly this shape: the *schedule* a policy records does
-not depend on the model's layer times or the cluster's bandwidth, only
-the recorded durations do.
+A sweep of structurally identical schedules (same stream layout, same
+gate graph, different durations) is what policy sweeps, fusion-plan
+grids and fault-scenario matrices produce: the *schedule* a policy
+records does not depend on the model's layer times or the cluster's
+bandwidth, only the recorded durations do.  Two kernels replay every
+recording in the repository:
+
+- :meth:`~repro.sim.fastpath.FastTimeline.replay`, the scalar
+  single-rank loop.  :func:`replay_fast_batch` runs it once per config:
+  single-rank groups are small, and a stacked replay pays several numpy
+  calls per gated slot where the scalar loop pays one Python ``max``.
+- :func:`replay_multirank_batch`, the rank-axis kernel.  Multi-rank
+  configs stack into one ``(slots, configs, world)`` tensor and replay
+  with one set of numpy ops; a solo
+  :meth:`~repro.sim.multirank_fastpath.MultiRankTimeline.replay` is a
+  batch of one.
 
 Bit-identity contract
 ---------------------
 
-Each config's replayed timestamps are **bit-identical** to what its own
-solo :meth:`~repro.sim.fastpath.FastTimeline.replay` (and hence, via
-the existing differential suites, the event-driven kernel) would have
-produced.  This holds because every batched operation is the same IEEE
-float operation the solo replay performs, applied row-wise:
+Each config's replayed timestamps are **bit-identical** to what the
+event-driven kernel produces for it alone, because every stacked
+operation is the same IEEE float operation, applied per lane:
 
-- a gateless run's seeded ``np.cumsum(axis=1)`` evaluates each row as
-  the same strict left fold the solo 1-D cumsum evaluates;
-- a gate max over ``np.maximum`` columns is the same pairwise max the
-  solo scalar loop takes, in the same order;
-- a multi-rank collective's ``arrive.max(axis=1)`` is the solo
-  ``float(arrive.max())`` per row;
+- a gateless run's seeded ``np.cumsum`` along the slot axis evaluates
+  each (config, rank) lane as the strict left fold of the kernel's
+  sequential ``end += d``;
+- a gate max over ``np.maximum`` rows is the same pairwise max, in the
+  same order;
+- a collective's ``max`` over the rank axis is the rendezvous instant,
+  and its end is one float add per config;
 - breaking a cumsum run at *any* config's deferred slot re-seeds the
   next chain with the previous exact partial sums, which a left fold
   is insensitive to.
 
-The differential suite in ``tests/sim/test_batched.py`` pins this:
-batched timestamps and exported traces are byte-identical to per-config
-solo replays across policies, fusion plans, and fault scenarios.
+The differential suite in ``tests/sim/test_batched.py`` pins this
+against per-config solo replays, and
+``tests/sim/test_rank_axis_properties.py`` against a plain-Python slot
+recurrence over random recordings.
 
 Grouping
 --------
@@ -45,12 +51,11 @@ from spec fields — and hand each group to :func:`replay_fast_batch` /
 :func:`replay_multirank_batch`.  A mixed group raises
 :class:`BatchMismatch`.
 
-Deferred durations (timing faults) ride along: a column where any
-config recorded a :class:`~repro.sim.fastpath.DeferredDuration` (or
-:class:`~repro.sim.multirank_fastpath.DeferredRankDurations`) breaks
-the cumsum batching at that column; plain configs in the same column
-still replay vectorized, and deferred ones resolve per config with
-Python-float starts — exactly the values their solo replay would pass.
+Deferred durations (timing faults) ride along: a slot where any config
+recorded a :class:`~repro.sim.fastpath.DeferredDuration` or
+:class:`~repro.sim.multirank_fastpath.DeferredRankDurations` breaks
+the cumsum batching there, and each config's deferred body resolves
+from exactly the start its solo replay would pass.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.sim.fastpath import FastTimeline
+from repro.sim.fastpath import FastTimeline, resolved_duration
 from repro.sim.multirank_fastpath import MultiRankTimeline
 
 __all__ = [
@@ -80,9 +85,9 @@ def fast_signature(timeline: FastTimeline) -> tuple:
 
     Two timelines with equal signatures recorded the same stream-id
     sequence and the same static gate graph, so they replay under the
-    same control flow and may share one batched replay.  Durations
-    (including whether a slot is deferred) deliberately do not
-    participate: mixed plain/deferred columns are handled per column.
+    same control flow and may form one :func:`replay_fast_batch` group.
+    Durations (including whether a slot is deferred) deliberately do
+    not participate.
     """
     return (
         tuple(timeline._stream_ids),
@@ -91,7 +96,9 @@ def fast_signature(timeline: FastTimeline) -> tuple:
 
 
 def multirank_signature(timeline: MultiRankTimeline) -> tuple:
-    """Structural identity of a recorded multi-rank schedule."""
+    """Structural identity of a recorded multi-rank schedule; mixed
+    plain/deferred slots are handled per slot, so durations do not
+    participate either."""
     return (
         timeline.world,
         tuple(timeline._slot_streams),
@@ -116,112 +123,26 @@ def replay_fast_batch(
 ) -> list[float]:
     """Replay a group of structurally identical single-rank recordings.
 
-    Writes each timeline's ``_starts`` / ``_ends`` / ``final_time``
-    back (so :class:`~repro.sim.fastpath.FastJob` handles and
-    downstream measurement code work exactly as after a solo replay),
-    optionally emits spans into the matching ``tracers`` entry, and
-    returns the per-config final times.
+    Each config replays on the scalar kernel,
+    :meth:`~repro.sim.fastpath.FastTimeline.replay`, which writes the
+    timeline's ``_starts`` / ``_ends`` / ``final_time`` back (so
+    :class:`~repro.sim.fastpath.FastJob` handles and downstream
+    measurement code work exactly as after a solo replay) and emits
+    spans into the matching ``tracers`` entry.  Returns the per-config
+    final times.
+
+    Single-rank configs are not stacked: a stacked replay pays several
+    numpy calls per gated slot where the scalar loop pays one Python
+    ``max``, which loses at the group sizes sweeps form (2.0-3.4x slower
+    per config at 2 configs, 1.05-1.5x at 8; see ``docs/PERF.md``).
     """
     timelines = list(timelines)
-    if not timelines:
-        return []
-    if len(timelines) == 1:
-        tracer = tracers[0] if tracers else None
-        return [timelines[0].replay(tracer)]
-    _check_group(timelines, fast_signature)
-
-    first = timelines[0]
-    n = len(first._handles)
-    configs = len(timelines)
-    starts = np.zeros((configs, n))
-    ends = np.zeros((configs, n))
-    if n:
-        stream_ids = first._stream_ids
-        gates = first._gates
-        duration_lists = [timeline._durations for timeline in timelines]
-        # Column classification: a column batches into a cumsum run only
-        # if *every* config recorded it as a plain float.  The common
-        # healthy sweep has no deferred columns at all, in which case
-        # one (configs, n) matrix serves every run slice.
-        col_plain = [
-            all(type(d[k]) is float for d in duration_lists) for k in range(n)
-        ]
-        matrix = np.asarray(duration_lists) if all(col_plain) else None
-        prev = [np.zeros(configs) for _ in first._streams]
-        i = 0
-        while i < n:
-            sid = stream_ids[i]
-            j = i + 1
-            while j < n and stream_ids[j] == sid:
-                j += 1
-            base = prev[sid]
-            k = i
-            while k < j:
-                g = k
-                while g < j and gates[g] is None and col_plain[g]:
-                    g += 1
-                if g > k:
-                    # Gateless all-plain run: one seeded cumsum per row —
-                    # each row is the exact left fold its solo replay
-                    # computes.
-                    chain = np.empty((configs, g - k + 1))
-                    chain[:, 0] = base
-                    if matrix is not None:
-                        chain[:, 1:] = matrix[:, k:g]
-                    else:
-                        chain[:, 1:] = [d[k:g] for d in duration_lists]
-                    seg = np.cumsum(chain, axis=1)
-                    starts[:, k:g] = seg[:, :-1]
-                    ends[:, k:g] = seg[:, 1:]
-                    base = seg[:, -1]
-                    k = g
-                if k < j:
-                    # Gated or deferred column: elementwise
-                    # max(prev, gate ends) + duration, one float op per
-                    # config — the solo scalar path, vectorized across
-                    # the config axis.  Same-segment gate ids (>= i) are
-                    # subsumed by stream order, as in the solo replay.
-                    gate_ids = gates[k]
-                    arrive = base
-                    if gate_ids is not None:
-                        for gid in gate_ids:
-                            if gid < i:
-                                arrive = np.maximum(arrive, ends[:, gid])
-                    if col_plain[k]:
-                        if matrix is not None:
-                            dur = matrix[:, k]
-                        else:
-                            dur = np.asarray([d[k] for d in duration_lists])
-                    else:
-                        dur = np.empty(configs)
-                        arrive_py = arrive.tolist()
-                        for c, durations in enumerate(duration_lists):
-                            body = durations[k]
-                            if type(body) is float:
-                                dur[c] = body
-                            else:
-                                # Resolve from a Python float, exactly as
-                                # the solo replay does, and keep the
-                                # resolved value for busy-time sums and
-                                # re-replays.
-                                resolved = float(body.resolve(arrive_py[c]))
-                                durations[k] = resolved
-                                dur[c] = resolved
-                    starts[:, k] = arrive
-                    ends[:, k] = arrive + dur
-                    base = ends[:, k]
-                    k += 1
-            prev[sid] = base
-            i = j
-    finals: list[float] = []
-    for c, timeline in enumerate(timelines):
-        timeline._starts = starts[c].copy()
-        timeline._ends = ends[c].copy()
-        timeline.final_time = float(timeline._ends.max()) if n else 0.0
-        finals.append(timeline.final_time)
-        if tracers is not None and tracers[c] is not None:
-            timeline.emit_spans(tracers[c])
-    return finals
+    if len(timelines) > 1:
+        _check_group(timelines, fast_signature)
+    return [
+        timeline.replay(tracers[c] if tracers is not None else None)
+        for c, timeline in enumerate(timelines)
+    ]
 
 
 def replay_multirank_batch(
@@ -230,41 +151,43 @@ def replay_multirank_batch(
 ) -> list[float]:
     """Replay a group of structurally identical multi-rank recordings.
 
-    The multi-rank analogue of :func:`replay_fast_batch`: durations
-    stack into a ``(configs, slots, world)`` tensor, per-rank runs
-    become ``cumsum`` chains along the slot axis, and each collective's
-    rendezvous is a ``max`` over the rank axis evaluated for all
-    configs at once.
+    The rank-axis kernel (a solo
+    :meth:`~repro.sim.multirank_fastpath.MultiRankTimeline.replay` is a
+    batch of one): durations stack into a ``(slots, configs, world)``
+    tensor, per-rank runs become ``cumsum`` chains along the slot axis,
+    and each collective's rendezvous is a ``max`` over the rank axis
+    evaluated for all configs at once.  Writes each timeline's
+    ``_starts`` / ``_ends`` / ``final_time`` back, optionally emits
+    spans into the matching ``tracers`` entry, and returns the
+    per-config final times.
     """
     timelines = list(timelines)
     if not timelines:
         return []
-    if len(timelines) == 1:
-        tracer = tracers[0] if tracers else None
-        return [timelines[0].replay(tracer)]
-    _check_group(timelines, multirank_signature)
+    if len(timelines) > 1:
+        _check_group(timelines, multirank_signature)
 
     first = timelines[0]
     n = len(first._handles)
     world = first.world
     configs = len(timelines)
-    starts = np.zeros((configs, n, world))
-    ends = np.zeros((configs, n, world))
+    # Slot-major: one slot's (configs, world) block is contiguous, so the
+    # per-slot ops below touch contiguous memory, and a batch of one is
+    # the solo (slots, world) layout, written back without a copy.
+    starts = np.zeros((n, configs, world))
+    ends = np.zeros((n, configs, world))
     if n:
         slot_streams = first._slot_streams
         collective = first._collective
         gates = first._gates
+        handles = first._handles
         duration_lists = [timeline._durations for timeline in timelines]
-        # Per-rank slots batch when every config recorded an ndarray;
-        # collectives when every config recorded a plain float.
-        col_plain = [
-            all(
-                (type(d[k]) is float if collective[k]
-                 else type(d[k]) is np.ndarray)
-                for d in duration_lists
-            )
-            for k in range(n)
-        ]
+        deferred = set().union(*(timeline._deferred for timeline in timelines))
+        # A slot ends a cumsum run if it is gated, a collective, or
+        # deferred in any config.
+        stops = [gate is not None or coll for gate, coll in zip(gates, collective)]
+        for k in deferred:
+            stops[k] = True
         prev = [np.zeros((configs, world)) for _ in first._streams]
         i = 0
         while i < n:
@@ -276,78 +199,79 @@ def replay_multirank_batch(
             k = i
             while k < j:
                 g = k
-                while (g < j and gates[g] is None and not collective[g]
-                       and col_plain[g]):
+                while g < j and not stops[g]:
                     g += 1
                 if g > k:
                     # Gateless per-rank run: seeded cumsum along the slot
-                    # axis, one strict left fold per (config, rank) lane.
-                    chain = np.empty((configs, world, g - k + 1))
-                    chain[:, :, 0] = base
-                    block = np.asarray(
-                        [d[k:g] for d in duration_lists]
-                    )  # (configs, run, world)
-                    chain[:, :, 1:] = block.transpose(0, 2, 1)
-                    seg = np.cumsum(chain, axis=2)
-                    starts[:, k:g, :] = seg[:, :, :-1].transpose(0, 2, 1)
-                    ends[:, k:g, :] = seg[:, :, 1:].transpose(0, 2, 1)
-                    base = np.ascontiguousarray(seg[:, :, -1])
+                    # axis, one strict left fold per (config, rank) lane —
+                    # the float association of the kernel's sequential
+                    # ``end += d``.
+                    run = ends[k:g]
+                    for c, durations in enumerate(duration_lists):
+                        run[:, c] = durations[k:g]
+                    run[0] += base
+                    np.cumsum(run, axis=0, out=run)
+                    starts[k] = base
+                    starts[k + 1:g] = run[:-1]
+                    base = run[-1]
                     k = g
                 if k < j:
-                    gate_ids = gates[k]
+                    # Gated, collective or deferred slot: every rank
+                    # arrives at max(prev end, gate ends).  A gate on an
+                    # earlier slot of this segment (>= i) is same-stream:
+                    # subsumed by order, elementwise in rank space.
+                    row = starts[k]
                     arrive = base
+                    gate_ids = gates[k]
                     if gate_ids is not None:
                         for gid in gate_ids:
                             if gid < i:
-                                arrive = np.maximum(arrive, ends[:, gid, :])
+                                np.maximum(arrive, ends[gid], out=row)
+                                arrive = row
+                    if arrive is base:
+                        row[...] = base
+                    end = ends[k]
                     if collective[k]:
-                        # Rendezvous per config: start at that config's
-                        # last arrival, end broadcast back after one
-                        # float add per config.
-                        start_times = arrive.max(axis=1)
-                        if col_plain[k]:
-                            dur = np.asarray([d[k] for d in duration_lists])
-                        else:
-                            dur = np.empty(configs)
-                            starts_py = start_times.tolist()
-                            for c, durations in enumerate(duration_lists):
-                                body = durations[k]
-                                if type(body) is float:
-                                    dur[c] = body
-                                else:
-                                    resolved = body.resolve(starts_py[c])
-                                    durations[k] = resolved
-                                    dur[c] = resolved
-                        starts[:, k, :] = arrive
-                        ends[:, k, :] = (start_times + dur)[:, None]
+                        # Rendezvous per config: start at the last
+                        # arrival (a max, no arithmetic), end broadcast
+                        # back after one float add.
+                        rendezvous = row.max(axis=1).tolist()
+                        for c, durations in enumerate(duration_lists):
+                            start = rendezvous[c]
+                            body = durations[k]
+                            if type(body) is not float:
+                                body = durations[k] = resolved_duration(
+                                    body, start, handles[k].name
+                                )
+                            end[c] = start + body
                     else:
-                        if col_plain[k]:
-                            dur = np.asarray([d[k] for d in duration_lists])
-                        else:
-                            dur = np.empty((configs, world))
-                            for c, durations in enumerate(duration_lists):
-                                body = durations[k]
-                                if type(body) is np.ndarray:
-                                    dur[c] = body
-                                else:
-                                    # The solo replay hands resolve() the
-                                    # (world,) arrival vector; a row of
-                                    # the batch carries the same values.
-                                    resolved = body.resolve(arrive[c])
-                                    durations[k] = resolved
-                                    dur[c] = resolved
-                        starts[:, k, :] = arrive
-                        ends[:, k, :] = arrive + dur
-                    base = ends[:, k, :]
+                        for c, durations in enumerate(duration_lists):
+                            body = durations[k]
+                            if type(body) is not np.ndarray:
+                                body = durations[k] = _resolve_per_rank(
+                                    body, row[c], handles[k].name
+                                )
+                            end[c] = body
+                        np.add(row, end, out=end)
+                    base = end
                     k += 1
             prev[sid] = base
             i = j
     finals = []
     for c, timeline in enumerate(timelines):
-        timeline._starts = np.ascontiguousarray(starts[c])
-        timeline._ends = np.ascontiguousarray(ends[c])
+        timeline._starts = starts[:, c]
+        timeline._ends = ends[:, c]
         timeline.final_time = float(timeline._ends.max()) if n else 0.0
         finals.append(timeline.final_time)
         if tracers is not None and tracers[c] is not None:
             timeline.emit_spans(tracers[c])
     return finals
+
+
+def _resolve_per_rank(body, arrivals: np.ndarray, name: str) -> np.ndarray:
+    """Price a deferred per-rank slot from its ``(world,)`` arrivals —
+    the values the event kernel's start-time callables see per rank."""
+    durations = np.asarray(body.resolve(arrivals), dtype=float)
+    if not np.isfinite(durations).all():
+        raise ValueError(f"slot {name!r} resolved to non-finite durations")
+    return durations

@@ -47,6 +47,7 @@ globally with ``DEAR_FASTPATH=0``.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable, Optional
 
 import numpy as np
@@ -105,19 +106,56 @@ def fast_path_enabled() -> bool:
 
 
 class FastGate:
-    """A static gate: the set of job indices that must all have ended.
+    """A static gate: the recorded jobs (or slots) that must all have ended.
 
     Plays the role of an :class:`~repro.sim.engine.Event` (a job's
-    ``done``, or an ``all_of`` combination) in recorded schedules.
+    ``done``, or an ``all_of`` combination) in recorded schedules, on a
+    :class:`FastTimeline` and on a
+    :class:`~repro.sim.multirank_fastpath.MultiRankTimeline` alike (where
+    a slot's end is per rank and the gate holds elementwise).
     """
 
-    __slots__ = ("job_ids",)
+    __slots__ = ("ids",)
 
-    def __init__(self, job_ids: tuple[int, ...]):
-        self.job_ids = job_ids
+    def __init__(self, ids: tuple[int, ...]):
+        self.ids = ids
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<FastGate jobs={self.job_ids}>"
+        return f"<FastGate ids={self.ids}>"
+
+
+def static_gate(gate: Any) -> Optional[FastGate]:
+    """``gate`` if it is ``None`` or recorded; anything dynamic raises."""
+    if gate is not None and not isinstance(gate, FastGate):
+        raise FastPathUnsupported(
+            f"fast path requires static job gates, got {type(gate).__name__}"
+        )
+    return gate
+
+
+def fixed_duration(body: Any, name: str) -> float:
+    """A recorded scalar duration: a finite, non-negative number.
+
+    Non-numeric bodies (callables, generators) raise
+    :class:`FastPathUnsupported`; negative or non-finite numbers raise
+    :class:`ValueError` — ``nan < 0`` is false, so a plain sign check
+    would let NaN through into plausible-looking timestamps.
+    """
+    if isinstance(body, bool) or not isinstance(body, (int, float)):
+        raise FastPathUnsupported(
+            f"fast path requires fixed job durations, got {type(body).__name__}"
+        )
+    if not 0 <= body < math.inf:
+        raise ValueError(f"job {name!r} has negative or non-finite duration {body}")
+    return float(body)
+
+
+def resolved_duration(body: DeferredDuration, start: float, name: str) -> float:
+    """Price a deferred scalar duration at ``start``; non-finite raises."""
+    duration = float(body.resolve(start))
+    if not math.isfinite(duration):
+        raise ValueError(f"job {name!r} resolved to non-finite duration {duration}")
+    return duration
 
 
 class FastJob:
@@ -179,23 +217,11 @@ class FastStream:
         ``body`` is a fixed duration or a :class:`DeferredDuration`
         (priced at replay from the job's start time).
         """
-        if isinstance(body, DeferredDuration):
-            duration: Any = body
-        else:
-            if isinstance(body, bool) or not isinstance(body, (int, float)):
-                raise FastPathUnsupported(
-                    f"fast path requires fixed job durations, got {type(body).__name__}"
-                )
-            if body < 0:
-                raise ValueError(f"job {name!r} has negative duration {body}")
-            duration = float(body)
-        if gate is not None and not isinstance(gate, FastGate):
-            raise FastPathUnsupported(
-                f"fast path requires static job gates, got {type(gate).__name__}"
-            )
+        duration = (body if isinstance(body, DeferredDuration)
+                    else fixed_duration(body, name))
         self.jobs_submitted += 1
         return self._timeline._record(
-            self, duration, name, category, gate, metadata or {}
+            self, duration, name, category, static_gate(gate), metadata or {}
         )
 
     def barrier(self, name: str = "barrier") -> FastJob:
@@ -210,26 +236,28 @@ class FastStream:
 class FastSimShim:
     """The slice of the :class:`Simulator` API a static schedule may use.
 
-    ``all_of`` composes gates; everything dynamic raises
+    Shared by :class:`FastTimeline` and
+    :class:`~repro.sim.multirank_fastpath.MultiRankTimeline`: ``all_of``
+    composes gates; everything dynamic raises
     :class:`FastPathUnsupported` so the caller can fall back to the
     event-driven kernel.
     """
 
     __slots__ = ("_timeline",)
 
-    def __init__(self, timeline: "FastTimeline"):
+    def __init__(self, timeline: Any):
         self._timeline = timeline
 
     def all_of(self, events: Iterable[Any], name: str = "all_of") -> FastGate:
         """Combine gates: all referenced jobs must have ended."""
-        job_ids: list[int] = []
+        ids: list[int] = []
         for event in events:
             if not isinstance(event, FastGate):
                 raise FastPathUnsupported(
                     f"fast path cannot wait on {type(event).__name__}"
                 )
-            job_ids.extend(event.job_ids)
-        return FastGate(tuple(job_ids))
+            ids.extend(event.ids)
+        return FastGate(tuple(ids))
 
     def _unsupported(self, feature: str):
         raise FastPathUnsupported(f"fast path does not support {feature}")
@@ -307,7 +335,7 @@ class FastTimeline:
         self._durations.append(duration)
         if type(duration) is not float:
             self._has_priced = True
-        self._gates.append(gate.job_ids if gate is not None else None)
+        self._gates.append(gate.ids if gate is not None else None)
         self._handles.append(job)
         return job
 
@@ -384,7 +412,9 @@ class FastTimeline:
                             # Deferred: price at the now-known start and
                             # keep the resolved value (busy-time sums and
                             # re-replays read it).
-                            duration = float(duration.resolve(start))
+                            duration = resolved_duration(
+                                duration, start, self._handles[k].name
+                            )
                             durations_py[k] = duration
                         end = start + duration
                         starts[k] = start

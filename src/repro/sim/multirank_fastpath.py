@@ -1,13 +1,14 @@
-"""Rank-axis vectorized replay for multi-rank two-stream schedules.
+"""Rank-axis recording for multi-rank two-stream schedules.
 
 :mod:`repro.sim.fastpath` replays a *single* representative rank's
 static schedule in closed form.  This module extends the idea along a
 second axis: a :class:`MultiRankTimeline` records the per-rank two-
 stream schedule of ``world`` workers plus their rendezvous collectives
-into ``(n_slots, world)`` duration/gate matrices, and replays them with
-the same closed-form recurrences the event kernel would compute — per
-stream a prefix sum along the job axis, per collective a ``max``
-reduction across the rank axis.
+as ``(slots, world)`` durations and static gates, for the rank-axis
+kernel :func:`repro.sim.batched.replay_multirank_batch` to replay — per
+stream a prefix sum along the slot axis, per collective a ``max``
+reduction across the rank axis.  :meth:`MultiRankTimeline.replay` is
+that kernel run on a batch of one.
 
 One *slot* is the unit of recording: a single scheduler submission
 fanned out to all ranks.  Two slot kinds exist:
@@ -21,26 +22,18 @@ fanned out to all ranks.  Two slot kinds exist:
   when the event kernel's rendezvous fires), and every rank ends at
   ``start + duration`` (one float add, broadcast back).
 
-Within one stream group, maximal runs of gateless per-rank slots
-telescope to a prefix sum evaluated as ``np.cumsum(axis=1)`` seeded
-with the per-rank base times — a strict left fold per row, matching the
-float association of the kernel's sequential ``end += d`` (the same
-discipline :class:`~repro.sim.fastpath.FastTimeline` uses).  Gates
-always reference earlier-submitted slots, so processing slots in
-submission order resolves every dependency; a gate on an earlier slot
-of the *same* stream group is subsumed by stream order, elementwise in
-rank space, and is skipped.  Because the replay performs the same float
-operations in the same order as the event kernel, per-rank timestamps
-agree bit-for-bit and exported Chrome traces are byte-identical —
-pinned by the differential suite in
+Gates always reference earlier-submitted slots, so replaying slots in
+submission order resolves every dependency.  Because the replay
+performs the same float operations in the same order as the event
+kernel, per-rank timestamps agree bit-for-bit and exported Chrome
+traces are byte-identical — pinned by the differential suite in
 ``tests/sim/test_multirank_fastpath.py``.
 
 Timing faults ride along without abandoning the vectorized path: a
 per-rank slot may carry a :class:`DeferredRankDurations` (durations
 resolved from the per-rank start times once known) and a collective a
 :class:`~repro.sim.fastpath.DeferredDuration` (resolved at the global
-rendezvous start).  Deferred slots break the cumsum batching at that
-slot but everything around them stays vectorized.
+rendezvous start).
 
 Anything else — generator bodies, dynamic events — raises
 :class:`~repro.sim.fastpath.FastPathUnsupported` so the caller
@@ -50,19 +43,24 @@ back to the event-kernel engine.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
-from repro.sim.fastpath import DeferredDuration, FastPathUnsupported
+from repro.sim.fastpath import (
+    DeferredDuration,
+    FastGate,
+    FastPathUnsupported,
+    FastSimShim,
+    fixed_duration,
+    static_gate,
+)
 from repro.sim.trace import Span
 
 __all__ = [
     "DeferredRankDurations",
-    "MultiRankGate",
     "MultiRankJobSet",
     "MultiRankStream",
-    "MultiRankSimShim",
     "MultiRankTimeline",
 ]
 
@@ -84,18 +82,6 @@ class DeferredRankDurations:
         raise NotImplementedError
 
 
-class MultiRankGate:
-    """A static gate: slot indices whose per-rank ends must all have passed."""
-
-    __slots__ = ("slot_ids",)
-
-    def __init__(self, slot_ids: tuple[int, ...]):
-        self.slot_ids = slot_ids
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<MultiRankGate slots={self.slot_ids}>"
-
-
 class MultiRankJobSet:
     """One recorded slot: the same submission on every rank's stream.
 
@@ -114,7 +100,7 @@ class MultiRankJobSet:
         self.name = name
         self.category = category
         self.metadata = metadata
-        self.done = MultiRankGate((index,))
+        self.done = FastGate((index,))
 
     @property
     def starts(self) -> Optional[np.ndarray]:
@@ -152,20 +138,12 @@ class MultiRankStream:
         #: slots recorded on this group (each fans out to ``world`` jobs).
         self.jobs_submitted = 0
 
-    def _check_gate(self, gate) -> Optional[MultiRankGate]:
-        if gate is not None and not isinstance(gate, MultiRankGate):
-            raise FastPathUnsupported(
-                f"multi-rank fast path requires static slot gates, "
-                f"got {type(gate).__name__}"
-            )
-        return gate
-
     def submit(
         self,
         body: Any,
         name: str = "task",
         category: str = "compute",
-        gate: Optional[MultiRankGate] = None,
+        gate: Optional[FastGate] = None,
         metadata: Optional[dict] = None,
     ) -> MultiRankJobSet:
         """Record one per-rank slot from a ``(world,)`` duration vector
@@ -183,12 +161,17 @@ class MultiRankStream:
                     f"slot {name!r}: expected {self._timeline.world} "
                     f"durations, got shape {body.shape}"
                 )
-            if np.any(body < 0):
-                raise ValueError(f"slot {name!r} has negative durations")
+            # NaN fails both comparisons; the bare reductions keep this
+            # per-slot check cheaper than ``body.min()``/``body.max()``.
+            if not (np.minimum.reduce(body) >= 0
+                    and np.maximum.reduce(body) < np.inf):
+                raise ValueError(
+                    f"slot {name!r} has negative or non-finite durations"
+                )
             durations = body.astype(float, copy=False)
         self.jobs_submitted += 1
         return self._timeline._record(
-            self, durations, False, name, category, self._check_gate(gate),
+            self, durations, False, name, category, static_gate(gate),
             metadata or {},
         )
 
@@ -197,86 +180,33 @@ class MultiRankStream:
         body: Any,
         name: str = "collective",
         category: str = "comm.ar",
-        gate: Optional[MultiRankGate] = None,
+        gate: Optional[FastGate] = None,
         metadata: Optional[dict] = None,
     ) -> MultiRankJobSet:
         """Record one rendezvous collective slot (scalar duration shared
         by all ranks, or a :class:`DeferredDuration` priced at the
         rendezvous start)."""
-        if isinstance(body, DeferredDuration):
-            duration: Any = body
-        else:
-            if isinstance(body, bool) or not isinstance(body, (int, float)):
-                raise FastPathUnsupported(
-                    f"multi-rank fast path requires fixed collective "
-                    f"durations, got {type(body).__name__}"
-                )
-            if body < 0:
-                raise ValueError(f"collective {name!r} has negative duration {body}")
-            duration = float(body)
+        duration = (body if isinstance(body, DeferredDuration)
+                    else fixed_duration(body, name))
         self.jobs_submitted += 1
         return self._timeline._record(
-            self, duration, True, name, category, self._check_gate(gate),
+            self, duration, True, name, category, static_gate(gate),
             metadata or {},
         )
 
 
-class MultiRankSimShim:
-    """The slice of the simulator API a static multi-rank schedule may use."""
-
-    __slots__ = ("_timeline",)
-
-    def __init__(self, timeline: "MultiRankTimeline"):
-        self._timeline = timeline
-
-    def all_of(self, events: Iterable[Any], name: str = "all_of") -> MultiRankGate:
-        """Combine gates: all referenced slots must have ended, per rank."""
-        slot_ids: list[int] = []
-        for event in events:
-            if not isinstance(event, MultiRankGate):
-                raise FastPathUnsupported(
-                    f"multi-rank fast path cannot wait on {type(event).__name__}"
-                )
-            slot_ids.extend(event.slot_ids)
-        return MultiRankGate(tuple(slot_ids))
-
-    def _unsupported(self, feature: str):
-        raise FastPathUnsupported(
-            f"multi-rank fast path does not support {feature}"
-        )
-
-    def event(self, name: str = ""):
-        self._unsupported("dynamic events (sim.event)")
-
-    def timeout(self, delay: float, value: Any = None, name: str = "timeout"):
-        self._unsupported("timeouts (sim.timeout)")
-
-    def process(self, generator, name: str = ""):
-        self._unsupported("processes (sim.process)")
-
-    def any_of(self, events, name: str = "any_of"):
-        self._unsupported("any_of combinators")
-
-    def schedule(self, delay: float, callback):
-        self._unsupported("raw callbacks (sim.schedule)")
-
-    @property
-    def now(self) -> float:
-        return self._timeline.final_time
-
-
 class MultiRankTimeline:
-    """Slot recorder plus the rank-axis vectorized replay."""
+    """Slot recorder; :meth:`replay` runs the rank-axis kernel on it."""
 
     __slots__ = ("world", "sim", "_streams", "_slot_streams", "_durations",
-                 "_collective", "_gates", "_handles", "_starts", "_ends",
-                 "final_time")
+                 "_collective", "_gates", "_deferred", "_handles", "_starts",
+                 "_ends", "final_time")
 
     def __init__(self, world: int):
         if world < 1:
             raise ValueError(f"world size must be >= 1, got {world}")
         self.world = world
-        self.sim = MultiRankSimShim(self)
+        self.sim = FastSimShim(self)
         self._streams: list[MultiRankStream] = []
         self._slot_streams: list[int] = []
         #: per slot: (world,) ndarray | DeferredRankDurations for per-rank
@@ -284,6 +214,10 @@ class MultiRankTimeline:
         self._durations: list[Any] = []
         self._collective: list[bool] = []
         self._gates: list[Optional[tuple[int, ...]]] = []
+        #: slots recorded with a deferred duration.  The replay writes the
+        #: resolved value back; a stale entry then only ends a cumsum run
+        #: early, which a strict left fold does not notice.
+        self._deferred: list[int] = []
         self._handles: list[MultiRankJobSet] = []
         self._starts: Optional[np.ndarray] = None
         self._ends: Optional[np.ndarray] = None
@@ -306,99 +240,32 @@ class MultiRankTimeline:
 
     def _record(self, stream: MultiRankStream, durations: Any,
                 collective: bool, name: str, category: str,
-                gate: Optional[MultiRankGate],
+                gate: Optional[FastGate],
                 metadata: dict) -> MultiRankJobSet:
         index = len(self._handles)
         handle = MultiRankJobSet(self, index, name, category, metadata)
         self._slot_streams.append(stream.stream_id)
         self._durations.append(durations)
         self._collective.append(collective)
-        self._gates.append(gate.slot_ids if gate is not None else None)
+        self._gates.append(gate.ids if gate is not None else None)
+        if isinstance(durations, (DeferredRankDurations, DeferredDuration)):
+            self._deferred.append(index)
         self._handles.append(handle)
         return handle
 
     def replay(self, tracer=None) -> float:
         """Compute every slot's per-rank starts/ends; returns final time.
 
-        Optionally records every positive-duration per-rank span into
-        ``tracer`` — the same spans the event kernel's per-rank streams
-        would have recorded (a collective's rank-r span runs from that
-        rank's *arrival* to the shared end).
+        The rank-axis kernel, :func:`repro.sim.batched.replay_multirank_batch`,
+        run on a batch of one.  Optionally records every positive-duration
+        per-rank span into ``tracer`` — the same spans the event kernel's
+        per-rank streams would have recorded (a collective's rank-r span
+        runs from that rank's *arrival* to the shared end).
         """
-        n = len(self._handles)
-        world = self.world
-        starts = np.zeros((n, world))
-        ends = np.zeros((n, world))
-        if n:
-            slot_streams = self._slot_streams
-            durations = self._durations
-            collective = self._collective
-            gates = self._gates
-            prev = [np.zeros(world) for _ in self._streams]
-            i = 0
-            while i < n:
-                sid = slot_streams[i]
-                j = i + 1
-                while j < n and slot_streams[j] == sid:
-                    j += 1
-                base = prev[sid]
-                k = i
-                while k < j:
-                    g = k
-                    while (g < j and gates[g] is None and not collective[g]
-                           and type(durations[g]) is np.ndarray):
-                        g += 1
-                    if g > k:
-                        # Gateless per-rank run: seeded row-wise cumsum,
-                        # a strict left fold per rank — the same float
-                        # association as the kernel's sequential adds.
-                        chain = np.empty((world, g - k + 1))
-                        chain[:, 0] = base
-                        chain[:, 1:] = np.stack(durations[k:g], axis=1)
-                        seg = np.cumsum(chain, axis=1)
-                        starts[k:g] = seg[:, :-1].T
-                        ends[k:g] = seg[:, 1:].T
-                        base = ends[g - 1]
-                        k = g
-                    if k < j:
-                        gate_ids = gates[k]
-                        arrive = base
-                        if gate_ids is not None:
-                            # A gate on an earlier slot of this segment
-                            # (>= i) is same-stream: subsumed by order,
-                            # elementwise in rank space.
-                            for gid in gate_ids:
-                                if gid < i:
-                                    arrive = np.maximum(arrive, ends[gid])
-                        dur = durations[k]
-                        if collective[k]:
-                            # Rendezvous: start at the last arrival (a
-                            # max across ranks, no arithmetic), end
-                            # broadcast back after one float add.
-                            start_time = float(arrive.max())
-                            if not isinstance(dur, float):
-                                dur = dur.resolve(start_time)
-                                self._durations[k] = dur
-                            starts[k] = arrive
-                            ends[k] = start_time + dur
-                        else:
-                            if arrive is base:
-                                arrive = base.copy()
-                            if type(dur) is not np.ndarray:
-                                dur = dur.resolve(arrive)
-                                self._durations[k] = dur
-                            starts[k] = arrive
-                            ends[k] = arrive + dur
-                        base = ends[k]
-                        k += 1
-                prev[sid] = base
-                i = j
-        self._starts = starts
-        self._ends = ends
-        self.final_time = float(ends.max()) if n else 0.0
-        if tracer is not None:
-            self.emit_spans(tracer)
-        return self.final_time
+        # Imported at call time: repro.sim.batched imports this module.
+        from repro.sim.batched import replay_multirank_batch
+
+        return replay_multirank_batch([self], [tracer])[0]
 
     def emit_spans(self, tracer) -> None:
         """Record every positive-duration per-rank span into ``tracer``.

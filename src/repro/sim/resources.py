@@ -13,6 +13,7 @@ stream driver and by higher-level protocol models.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Callable, Generator, Optional, Union
 
@@ -195,6 +196,10 @@ class Stream:
                 result = yield self._sim.process(body, name=job.name)
             else:
                 duration = float(body)
+                if not math.isfinite(duration):
+                    raise ValueError(
+                        f"job {job.name!r} has non-finite duration {duration}"
+                    )
                 if duration > 0.0:
                     yield duration
                 result = None
