@@ -103,6 +103,10 @@ class TimingFaultInjector:
         factor = self.plan.compute_factor(now)
         if factor == 1.0:
             return base
+        return self._charge_straggler(base, factor, now)
+
+    def _charge_straggler(self, base: float, factor: float, now: float) -> float:
+        """Slow ``base`` by ``factor`` (not 1.0), recording the extra time."""
         slowed = base * factor
         self.straggler_seconds += slowed - base
         self.events.append(
@@ -229,11 +233,15 @@ class PricedCollective(DeferredDuration):
 class RankPricedCompute(DeferredRankDurations):
     """Per-rank compute durations the multi-rank replay prices at start.
 
-    Resolution loops ranks in order, calling the same scalar pricing
-    function as the event kernel per rank — the per-rank durations are
-    bit-identical; only the order fault *events* are appended in
-    differs (slot-major here, chronological on the kernel), which the
-    sorted trace export normalises away.
+    The straggler factors of all ranks come from one numpy pass over
+    ``starts``, multiplying the active windows in plan order — the
+    float products :meth:`FaultPlan.compute_factor` forms per rank.
+    Only the slowed ranks then go through the scalar bookkeeping, in
+    rank order, so durations, ``straggler_seconds`` and the fault
+    events match a per-rank :meth:`TimingFaultInjector.compute_duration`
+    loop bit for bit.  Events are appended slot-major here and
+    chronologically on the event kernel; the sorted trace export
+    normalises that away.
     """
 
     __slots__ = ("injector", "bases")
@@ -243,8 +251,17 @@ class RankPricedCompute(DeferredRankDurations):
         self.bases = bases
 
     def resolve(self, starts: np.ndarray) -> np.ndarray:
-        compute_duration = self.injector.compute_duration
-        return np.array([
-            compute_duration(base, start)
-            for base, start in zip(self.bases.tolist(), starts.tolist())
-        ])
+        injector = self.injector
+        factors = np.ones(len(starts))
+        for straggler in injector.plan.stragglers:
+            active = (straggler.start <= starts) & (starts < straggler.end)
+            factors[active] *= straggler.compute_factor
+        slowed_ranks = np.flatnonzero(factors != 1.0)
+        durations = self.bases.tolist()
+        for rank, factor, start in zip(
+            slowed_ranks.tolist(),
+            factors[slowed_ranks].tolist(),
+            starts[slowed_ranks].tolist(),
+        ):
+            durations[rank] = injector._charge_straggler(durations[rank], factor, start)
+        return np.array(durations)

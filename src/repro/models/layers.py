@@ -103,7 +103,11 @@ class ModelSpec:
     layers: tuple[LayerSpec, ...]
     default_batch_size: int
     sample_description: str = ""
-    _tensor_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    #: Lazy per-instance derivations (tensor orders, the canonical JSON
+    #: fragment fingerprints splice in).  Not an init field, so
+    #: ``dataclasses.replace`` starts the copy with an empty cache.
+    _tensor_cache: dict = field(default_factory=dict, init=False,
+                                compare=False, repr=False)
 
     def __post_init__(self):
         for expected_index, layer in enumerate(self.layers):
@@ -114,6 +118,11 @@ class ModelSpec:
         names = [t.name for t in self.tensors_forward_order()]
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate tensor names in model {self.name!r}")
+
+    def __getstate__(self) -> dict:
+        # Pickles (pool tasks) leave the lazy cache behind: it is cheap
+        # to rebuild and holds the large canonical JSON fragment.
+        return {**self.__dict__, "_tensor_cache": {}}
 
     # -- Table I quantities ------------------------------------------------
 

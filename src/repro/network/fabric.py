@@ -13,6 +13,7 @@ links separately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 __all__ = ["LinkSpec", "ClusterSpec"]
@@ -50,10 +51,15 @@ class LinkSpec:
     protocols: tuple[str, ...] = ("simple",)
 
     def __post_init__(self):
-        if self.latency < 0:
-            raise ValueError(f"latency must be non-negative, got {self.latency}")
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        # ``nan < 0`` is false: a sign check alone would let NaN through.
+        if not (math.isfinite(self.latency) and self.latency >= 0):
+            raise ValueError(
+                f"latency must be finite and non-negative, got {self.latency}"
+            )
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError(
+                f"bandwidth must be finite and positive, got {self.bandwidth}"
+            )
         if self.channels < 1:
             raise ValueError(f"channels must be >= 1, got {self.channels}")
         if not self.protocols or "simple" not in self.protocols:

@@ -267,6 +267,9 @@ def run_batched(
                     item.seconds + share
                     + (time.perf_counter() - finalize_started),
                 )
+                # Free the recording now rather than when the whole sweep
+                # is done: later groups' replays then run on a smaller heap.
+                item.ctx = item.finalize = None
 
     batched_count = len(recorded)
     outcomes = registry.counter(

@@ -151,9 +151,13 @@ class RunSpec:
         they are lazy caches (e.g. ``ModelSpec._tensor_cache``) whose
         fill state must not perturb the fingerprint.
         """
+        payload = self._payload_without_model()
+        payload["model"] = _public_fields(dataclasses.asdict(self.model))
+        return payload
+
+    def _payload_without_model(self) -> dict:
         payload = {
             "scheduler": self.scheduler,
-            "model": _public_fields(dataclasses.asdict(self.model)),
             "cluster": _public_fields(dataclasses.asdict(self.cluster)),
             "batch_size": self.batch_size,
             "algorithm": self.algorithm,
@@ -178,19 +182,39 @@ class RunSpec:
         return payload
 
     def canonical_json(self) -> str:
-        """Deterministic serialisation: sorted keys, no whitespace."""
-        return json.dumps(
-            self.canonical_payload(),
-            sort_keys=True,
-            separators=(",", ":"),
-            default=_jsonify,
-        )
+        """Deterministic serialisation: sorted keys, no whitespace.
+
+        Byte-identical to ``json.dumps`` of :meth:`canonical_payload`
+        with sorted keys: the top-level object is written member by
+        member in sorted key order, and the model member — most of the
+        bytes — is spliced in from :func:`_model_json`, serialised once
+        per model instance.
+        """
+        members = {
+            key: _dumps(value)
+            for key, value in self._payload_without_model().items()
+        }
+        members["model"] = _model_json(self.model)
+        return "{" + ",".join(
+            f"{_dumps(key)}:{members[key]}" for key in sorted(members)
+        ) + "}"
 
     @property
     def fingerprint(self) -> str:
-        """SHA-256 of the canonical JSON; stable across processes."""
-        digest = hashlib.sha256(self.canonical_json().encode("utf-8"))
-        return digest.hexdigest()
+        """SHA-256 of the canonical JSON; stable across processes.
+
+        Memoized in the instance ``__dict__``, outside the dataclass
+        fields: equality, ``repr`` and hashing ignore it, pickles carry
+        it, and ``dataclasses.replace`` builds a spec that computes its
+        own.
+        """
+        digest = self.__dict__.get("_fingerprint")
+        if digest is None:
+            digest = hashlib.sha256(
+                self.canonical_json().encode("utf-8")
+            ).hexdigest()
+            object.__setattr__(self, "_fingerprint", digest)
+        return digest
 
     @property
     def label(self) -> str:
@@ -267,8 +291,29 @@ def _public_fields(value):
     return value
 
 
+def _model_json(model: ModelSpec) -> str:
+    """The model's canonical JSON fragment, serialised once per instance.
+
+    Models are frozen and the zoo hands out one shared instance per
+    name, so the fragment lives in the model's lazy cache (which
+    :func:`_public_fields` strips from the payload) and serves every
+    spec built on that model.
+    """
+    cache = model._tensor_cache
+    fragment = cache.get("canonical_json")
+    if fragment is None:
+        fragment = cache["canonical_json"] = _dumps(
+            _public_fields(dataclasses.asdict(model))
+        )
+    return fragment
+
+
 def _jsonify(value):
     """Fallback encoder for option values (tuples are handled natively)."""
     if isinstance(value, (set, frozenset)):
         return sorted(value)
     raise TypeError(f"{value!r} is not canonically serialisable")
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=_jsonify)

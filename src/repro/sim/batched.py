@@ -125,7 +125,7 @@ def replay_fast_batch(
 
     Each config replays on the scalar kernel,
     :meth:`~repro.sim.fastpath.FastTimeline.replay`, which writes the
-    timeline's ``_starts`` / ``_ends`` / ``final_time`` back (so
+    timeline's :class:`~repro.sim.fastpath.ReplayResult` (so
     :class:`~repro.sim.fastpath.FastJob` handles and downstream
     measurement code work exactly as after a solo replay) and emits
     spans into the matching ``tracers`` entry.  Returns the per-config
@@ -157,7 +157,7 @@ def replay_multirank_batch(
     tensor, per-rank runs become ``cumsum`` chains along the slot axis,
     and each collective's rendezvous is a ``max`` over the rank axis
     evaluated for all configs at once.  Writes each timeline's
-    ``_starts`` / ``_ends`` / ``final_time`` back, optionally emits
+    :class:`~repro.sim.fastpath.ReplayResult`, optionally emits
     spans into the matching ``tracers`` entry, and returns the
     per-config final times.
     """
@@ -188,7 +188,7 @@ def replay_multirank_batch(
         stops = [gate is not None or coll for gate, coll in zip(gates, collective)]
         for k in deferred:
             stops[k] = True
-        prev = [np.zeros((configs, world)) for _ in first._streams]
+        prev = [np.zeros((configs, world)) for _ in first._actors]
         i = 0
         while i < n:
             sid = slot_streams[i]
@@ -259,10 +259,11 @@ def replay_multirank_batch(
             i = j
     finals = []
     for c, timeline in enumerate(timelines):
-        timeline._starts = starts[:, c]
-        timeline._ends = ends[:, c]
-        timeline.final_time = float(timeline._ends.max()) if n else 0.0
-        finals.append(timeline.final_time)
+        result = timeline._result
+        result.starts = starts[:, c]
+        result.ends = ends[:, c]
+        result.final_time = float(result.ends.max()) if n else 0.0
+        finals.append(result.final_time)
         if tracers is not None and tracers[c] is not None:
             timeline.emit_spans(tracers[c])
     return finals

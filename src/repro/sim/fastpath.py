@@ -56,6 +56,7 @@ from repro.sim.trace import Span
 
 __all__ = [
     "FastPathUnsupported",
+    "ReplayResult",
     "fast_path_enabled",
     "DeferredDuration",
     "FastGate",
@@ -158,6 +159,26 @@ def resolved_duration(body: DeferredDuration, start: float, name: str) -> float:
     return duration
 
 
+class ReplayResult:
+    """A recording's replayed timestamps, shared with its job handles.
+
+    Job handles and the simulator shim read the replay through this
+    holder rather than through the timeline, and the timeline keeps its
+    streams' actor names rather than the streams.  Nothing a timeline
+    owns points back at it, so a finished recording is freed by
+    reference counting as soon as its caller lets go, without waiting
+    for the cyclic garbage collector.
+    """
+
+    __slots__ = ("starts", "ends", "final_time")
+
+    def __init__(self):
+        #: result arrays, ``None`` until a replay writes them.
+        self.starts: Optional[np.ndarray] = None
+        self.ends: Optional[np.ndarray] = None
+        self.final_time = 0.0
+
+
 class FastJob:
     """Recorded counterpart of :class:`repro.sim.resources.Job`.
 
@@ -166,11 +187,11 @@ class FastJob:
     timestamps of a job the event kernel has not executed yet.
     """
 
-    __slots__ = ("_timeline", "index", "name", "category", "metadata", "done")
+    __slots__ = ("_result", "index", "name", "category", "metadata", "done")
 
-    def __init__(self, timeline: "FastTimeline", index: int, name: str,
+    def __init__(self, result: ReplayResult, index: int, name: str,
                  category: str, metadata: dict):
-        self._timeline = timeline
+        self._result = result
         self.index = index
         self.name = name
         self.category = category
@@ -179,12 +200,12 @@ class FastJob:
 
     @property
     def start(self) -> Optional[float]:
-        starts = self._timeline._starts
+        starts = self._result.starts
         return None if starts is None else float(starts[self.index])
 
     @property
     def end(self) -> Optional[float]:
-        ends = self._timeline._ends
+        ends = self._result.ends
         return None if ends is None else float(ends[self.index])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -243,10 +264,10 @@ class FastSimShim:
     event-driven kernel.
     """
 
-    __slots__ = ("_timeline",)
+    __slots__ = ("_result",)
 
-    def __init__(self, timeline: Any):
-        self._timeline = timeline
+    def __init__(self, result: ReplayResult):
+        self._result = result
 
     def all_of(self, events: Iterable[Any], name: str = "all_of") -> FastGate:
         """Combine gates: all referenced jobs must have ended."""
@@ -279,33 +300,37 @@ class FastSimShim:
 
     @property
     def now(self) -> float:
-        return self._timeline.final_time
+        return self._result.final_time
 
 
 class FastTimeline:
     """Job recorder plus the vectorized replay."""
 
-    __slots__ = ("sim", "_streams", "_stream_ids", "_durations", "_gates",
-                 "_handles", "_starts", "_ends", "_has_priced", "final_time")
+    __slots__ = ("sim", "_actors", "_stream_ids", "_durations", "_gates",
+                 "_handles", "_result", "_has_priced", "__weakref__")
 
     def __init__(self):
-        self.sim = FastSimShim(self)
-        self._streams: list[FastStream] = []
+        self._result = ReplayResult()
+        self.sim = FastSimShim(self._result)
+        #: per stream id, the actor its spans are recorded under.
+        self._actors: list[str] = []
         self._stream_ids: list[int] = []
         #: float durations, with :class:`DeferredDuration` placeholders
         #: replaced by their resolved values during replay.
         self._durations: list = []
         self._gates: list[Optional[tuple[int, ...]]] = []
         self._handles: list[FastJob] = []
-        self._starts: Optional[np.ndarray] = None
-        self._ends: Optional[np.ndarray] = None
         self._has_priced = False
-        self.final_time = 0.0
+
+    @property
+    def final_time(self) -> float:
+        """End of the last replayed job (0.0 before a replay)."""
+        return self._result.final_time
 
     def stream(self, name: str, actor: str = "") -> FastStream:
         """Create a new in-order stream on this timeline."""
-        stream = FastStream(self, len(self._streams), name, actor)
-        self._streams.append(stream)
+        stream = FastStream(self, len(self._actors), name, actor)
+        self._actors.append(stream.actor)
         return stream
 
     def stream_busy_times(self) -> list[float]:
@@ -317,7 +342,7 @@ class FastTimeline:
         which only :meth:`replay` resolves), and O(n) in one
         vectorized pass.
         """
-        busy = np.zeros(len(self._streams))
+        busy = np.zeros(len(self._actors))
         if self._durations:
             np.add.at(
                 busy,
@@ -330,7 +355,7 @@ class FastTimeline:
                 category: str, gate: Optional[FastGate],
                 metadata: dict) -> FastJob:
         index = len(self._handles)
-        job = FastJob(self, index, name, category, metadata)
+        job = FastJob(self._result, index, name, category, metadata)
         self._stream_ids.append(stream.stream_id)
         self._durations.append(duration)
         if type(duration) is not float:
@@ -361,7 +386,7 @@ class FastTimeline:
             # straight from the (mixed) Python list run by run instead
             # of one prebuilt array.
             durations = None if has_priced else np.asarray(durations_py)
-            prev_end = [0.0] * len(self._streams)
+            prev_end = [0.0] * len(self._actors)
             i = 0
             while i < n:
                 sid = stream_ids[i]
@@ -424,12 +449,13 @@ class FastTimeline:
                         k += 1
                 prev_end[sid] = base
                 i = j
-        self._starts = starts
-        self._ends = ends
-        self.final_time = float(ends.max()) if n else 0.0
+        result = self._result
+        result.starts = starts
+        result.ends = ends
+        result.final_time = float(ends.max()) if n else 0.0
         if tracer is not None:
             self.emit_spans(tracer)
-        return self.final_time
+        return result.final_time
 
     def emit_spans(self, tracer) -> None:
         """Record every positive-duration replayed job into ``tracer``.
@@ -438,13 +464,14 @@ class FastTimeline:
         the result arrays back — see :mod:`repro.sim.batched`); emits
         the same spans the event kernel's streams would have recorded.
         """
-        if self._starts is None or self._ends is None:
+        result = self._result
+        if result.starts is None or result.ends is None:
             raise RuntimeError("emit_spans requires a completed replay")
         spans = tracer.spans
-        streams = self._streams
+        actors = self._actors
         stream_ids = self._stream_ids
-        starts_list = self._starts.tolist()
-        ends_list = self._ends.tolist()
+        starts_list = result.starts.tolist()
+        ends_list = result.ends.tolist()
         for index, job in enumerate(self._handles):
             start = starts_list[index]
             end = ends_list[index]
@@ -452,7 +479,7 @@ class FastTimeline:
                 spans.append(Span(
                     job.name,
                     job.category,
-                    streams[stream_ids[index]].actor,
+                    actors[stream_ids[index]],
                     start,
                     end,
                     job.metadata,

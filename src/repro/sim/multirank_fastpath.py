@@ -52,6 +52,7 @@ from repro.sim.fastpath import (
     FastGate,
     FastPathUnsupported,
     FastSimShim,
+    ReplayResult,
     fixed_duration,
     static_gate,
 )
@@ -91,11 +92,11 @@ class MultiRankJobSet:
     ids, fusion attribution) apply to every rank's span at once.
     """
 
-    __slots__ = ("_timeline", "index", "name", "category", "metadata", "done")
+    __slots__ = ("_result", "index", "name", "category", "metadata", "done")
 
-    def __init__(self, timeline: "MultiRankTimeline", index: int, name: str,
+    def __init__(self, result: ReplayResult, index: int, name: str,
                  category: str, metadata: dict):
-        self._timeline = timeline
+        self._result = result
         self.index = index
         self.name = name
         self.category = category
@@ -104,12 +105,12 @@ class MultiRankJobSet:
 
     @property
     def starts(self) -> Optional[np.ndarray]:
-        starts = self._timeline._starts
+        starts = self._result.starts
         return None if starts is None else starts[self.index]
 
     @property
     def ends(self) -> Optional[np.ndarray]:
-        ends = self._timeline._ends
+        ends = self._result.ends
         return None if ends is None else ends[self.index]
 
     def rank_start(self, rank: int) -> float:
@@ -198,16 +199,19 @@ class MultiRankStream:
 class MultiRankTimeline:
     """Slot recorder; :meth:`replay` runs the rank-axis kernel on it."""
 
-    __slots__ = ("world", "sim", "_streams", "_slot_streams", "_durations",
-                 "_collective", "_gates", "_deferred", "_handles", "_starts",
-                 "_ends", "final_time")
+    __slots__ = ("world", "sim", "_actors", "_slot_streams", "_durations",
+                 "_collective", "_gates", "_deferred", "_handles", "_result",
+                 "__weakref__")
 
     def __init__(self, world: int):
         if world < 1:
             raise ValueError(f"world size must be >= 1, got {world}")
         self.world = world
-        self.sim = FastSimShim(self)
-        self._streams: list[MultiRankStream] = []
+        #: replayed ``(slots, world)`` matrices, shared with the handles.
+        self._result = ReplayResult()
+        self.sim = FastSimShim(self._result)
+        #: per stream group id, the per-rank actors its spans go under.
+        self._actors: list[list[str]] = []
         self._slot_streams: list[int] = []
         #: per slot: (world,) ndarray | DeferredRankDurations for per-rank
         #: slots, float | DeferredDuration for collectives.
@@ -219,14 +223,16 @@ class MultiRankTimeline:
         #: early, which a strict left fold does not notice.
         self._deferred: list[int] = []
         self._handles: list[MultiRankJobSet] = []
-        self._starts: Optional[np.ndarray] = None
-        self._ends: Optional[np.ndarray] = None
-        self.final_time = 0.0
+
+    @property
+    def final_time(self) -> float:
+        """End of the last replayed slot on any rank (0.0 before a replay)."""
+        return self._result.final_time
 
     def stream(self, name: str) -> MultiRankStream:
         """Create a new stream group (``rank<r>.<name>`` for every rank)."""
-        stream = MultiRankStream(self, len(self._streams), name)
-        self._streams.append(stream)
+        stream = MultiRankStream(self, len(self._actors), name)
+        self._actors.append(stream.actors)
         return stream
 
     @property
@@ -243,7 +249,7 @@ class MultiRankTimeline:
                 gate: Optional[FastGate],
                 metadata: dict) -> MultiRankJobSet:
         index = len(self._handles)
-        handle = MultiRankJobSet(self, index, name, category, metadata)
+        handle = MultiRankJobSet(self._result, index, name, category, metadata)
         self._slot_streams.append(stream.stream_id)
         self._durations.append(durations)
         self._collective.append(collective)
@@ -273,16 +279,16 @@ class MultiRankTimeline:
         Requires a prior :meth:`replay` (or a batched replay that wrote
         the result matrices back — see :mod:`repro.sim.batched`).
         """
-        if self._starts is None or self._ends is None:
+        starts = self._result.starts
+        ends = self._result.ends
+        if starts is None or ends is None:
             raise RuntimeError("emit_spans requires a completed replay")
-        starts = self._starts
-        ends = self._ends
         world = self.world
         spans = tracer.spans
-        streams = self._streams
+        stream_actors = self._actors
         slot_streams = self._slot_streams
         for index, handle in enumerate(self._handles):
-            actors = streams[slot_streams[index]].actors
+            actors = stream_actors[slot_streams[index]]
             row_starts = starts[index].tolist()
             row_ends = ends[index].tolist()
             name = handle.name

@@ -4,10 +4,13 @@ fast-path fallback, and trace instants."""
 from __future__ import annotations
 
 import json
+import random
 
+import numpy as np
 import pytest
 
 from repro.faults.plan import FaultPlan, LinkFault, StragglerFault
+from repro.faults.timing import RankPricedCompute, TimingFaultInjector
 from repro.network.cost_model import CollectiveTimeModel
 from repro.schedulers.base import SCHEDULER_NAMES, simulate
 from repro.telemetry.registry import (
@@ -194,3 +197,53 @@ class TestDegradedCluster:
         nbytes = 25e6
         assert degraded.all_reduce(nbytes) > healthy.all_reduce(nbytes)
         assert degraded.reduce_scatter(nbytes) > healthy.reduce_scatter(nbytes)
+
+
+def _random_plan(rng: random.Random) -> FaultPlan:
+    """Zero to six overlapping windows; some factors multiply back to 1."""
+    stragglers = []
+    for _ in range(rng.randrange(7)):
+        start = rng.choice([0.0, rng.uniform(0.0, 1.0)])
+        factor = rng.choice([0.5, 2.0, 1.0, rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0), 3])
+        stragglers.append(StragglerFault(start, start + rng.uniform(0.5, 3.0), factor))
+    return FaultPlan(stragglers=tuple(stragglers))
+
+
+def _random_starts(rng: random.Random, plan: FaultPlan, world: int) -> np.ndarray:
+    edges = [edge for s in plan.stragglers for edge in (s.start, s.end)]
+    return np.array([
+        rng.choice(edges) if edges and rng.random() < 0.2 else rng.uniform(0.0, 4.0)
+        for _ in range(world)
+    ])
+
+
+class TestRankPricedCompute:
+    """The vectorized per-rank pricer against the scalar per-rank loop."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_per_rank_loop(self, seed, ethernet_cluster):
+        rng = random.Random(seed)
+        plan = _random_plan(rng)
+        world = rng.choice([1, 2, 7, 64])
+        cost = CollectiveTimeModel(ethernet_cluster)
+        loop, vector = TimingFaultInjector(plan, cost), TimingFaultInjector(plan, cost)
+        for _ in range(3):
+            bases = np.array([rng.uniform(1e-4, 1e-2) for _ in range(world)])
+            starts = _random_starts(rng, plan, world)
+            expected = np.array([
+                loop.compute_duration(base, start)
+                for base, start in zip(bases.tolist(), starts.tolist())
+            ])
+            got = RankPricedCompute(vector, bases).resolve(starts)
+            assert got.dtype == np.float64
+            assert got.tobytes() == expected.astype(float).tobytes()
+        assert vector.events == loop.events
+        assert vector.straggler_seconds == loop.straggler_seconds
+
+    def test_healthy_ranks_keep_their_base(self, ethernet_cluster):
+        plan = FaultPlan(stragglers=(StragglerFault(1.0, 2.0, 1.5),))
+        injector = TimingFaultInjector(plan, CollectiveTimeModel(ethernet_cluster))
+        bases = np.array([0.25, 0.5, 0.75])
+        got = RankPricedCompute(injector, bases).resolve(np.array([0.0, 1.0, 2.0]))
+        assert got.tolist() == [0.25, 0.75, 0.75]
+        assert injector.events == [(1.0, "fault.straggler", {"factor": 1.5, "extra": 0.25})]

@@ -1,5 +1,8 @@
 """Unit tests for link and cluster specifications."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.network.fabric import ClusterSpec, LinkSpec
@@ -30,6 +33,14 @@ class TestLinkSpec:
     def test_zero_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             LinkSpec("l", latency=0, bandwidth=0)
+
+    @pytest.mark.parametrize("field", ["latency", "bandwidth"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LinkSpec("l", **{"latency": 1e-5, "bandwidth": 1e9, field: value})
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(ETHERNET_10G, **{field: value})
 
     def test_scaled_link(self):
         doubled = ETHERNET_10G.scaled(bandwidth_factor=2.0)

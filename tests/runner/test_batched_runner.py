@@ -10,9 +10,14 @@ and how the two populations interleave in one call.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
+import weakref
 
 import pytest
+
+import repro.runner.batched as runner_batched
 
 from repro.faults.plan import FaultPlan, StragglerFault
 from repro.runner.batched import batched_enabled, run_batched
@@ -121,3 +126,54 @@ class TestSupportsBatchedRun:
         assert not get_scheduler(name, fusion="bo").supports_batched_run()
         assert get_scheduler(name, fusion="buffer",
                              buffer_bytes=25e6).supports_batched_run()
+
+
+@contextlib.contextmanager
+def _gc_disabled():
+    """Only reference counting frees objects inside the block."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class TestRecordingsFreedByRefcount:
+    """A finished spec's recording holds no reference cycle, so it is
+    freed as soon as the runner lets go of it, not by the cyclic GC."""
+
+    def test_timelines_dead_once_run_many_returns(self, tiny_model, ethernet_cluster,
+                                                  tmp_path, monkeypatch):
+        refs, kinds = [], set()
+
+        def capturing(replay):
+            def wrapper(timelines, tracers=None):
+                refs.extend(weakref.ref(timeline) for timeline in timelines)
+                kinds.update(type(timeline).__name__ for timeline in timelines)
+                return replay(timelines, tracers)
+            return wrapper
+
+        for name in ("replay_fast_batch", "replay_multirank_batch"):
+            monkeypatch.setattr(runner_batched, name,
+                                capturing(getattr(runner_batched, name)))
+        monkeypatch.setenv("DEAR_BATCHED", "1")
+        specs = _mixed_specs(tiny_model, ethernet_cluster)
+        with _gc_disabled():
+            results = run_many(specs, jobs=1, cache=ResultCache(root=tmp_path))
+            assert [ref() for ref in refs] == [None] * len(refs)
+        assert kinds == {"FastTimeline", "MultiRankTimeline"}
+        assert all(result.iteration_time > 0 for result in results)
+
+    def test_job_handles_outlive_their_timeline(self, tiny_timing, ethernet_cost):
+        ctx = get_scheduler("wfbp").record_fast(tiny_timing, ethernet_cost)
+        final = ctx._timeline.replay()
+        jobs = list(ctx.ff_first_jobs)
+        timeline = weakref.ref(ctx._timeline)
+        with _gc_disabled():
+            del ctx
+            assert timeline() is None
+            assert all(job.end >= job.start >= 0.0 for job in jobs)
+            assert max(job.end for job in jobs) <= final

@@ -60,8 +60,8 @@ def _assert_identical(batched_ctx, batched_tracer, solo_ctx):
     solo_final, solo_tracer = _solo_replay(solo_ctx)
     left, right = batched_ctx._timeline, solo_ctx._timeline
     assert left.final_time == solo_final
-    assert np.array_equal(left._starts, right._starts)
-    assert np.array_equal(left._ends, right._ends)
+    assert np.array_equal(left._result.starts, right._result.starts)
+    assert np.array_equal(left._result.ends, right._result.ends)
     assert batched_tracer.spans == solo_tracer.spans
 
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.models.zoo import get_model
+from repro.network.cost_model import CollectiveTimeModel
 from repro.network.presets import cluster_10gbe
 from repro.schedulers.base import simulate
 from repro.schedulers.multirank import simulate_heterogeneous
@@ -57,12 +58,15 @@ def test_non_finite_iteration_compute_rejected(scheduler, fastpath, value):
 
 @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf"])
 @pytest.mark.parametrize("fastpath", [True, False], ids=["fastpath", "event"])
-def test_non_finite_collective_rejected_on_multirank_engines(fastpath, value):
-    """A non-finite link latency prices every collective non-finite;
-    the rank-axis replay and the per-rank event kernel both refuse it."""
+def test_non_finite_collective_rejected_on_multirank_engines(fastpath, value,
+                                                           monkeypatch):
+    """A cost model pricing every all-reduce non-finite: the rank-axis
+    replay and the per-rank event kernel both refuse it.  ``LinkSpec``
+    refuses a non-finite latency itself, so the price is patched in."""
     cluster = cluster_10gbe(nodes=2, gpus_per_node=2)
-    link = dataclasses.replace(cluster.inter_link, latency=value)
-    cluster = dataclasses.replace(cluster, inter_link=link)
+    with pytest.raises(ValueError, match="latency"):
+        dataclasses.replace(cluster.inter_link, latency=value)
+    monkeypatch.setattr(CollectiveTimeModel, "all_reduce", lambda self, nbytes: value)
     with pytest.raises(ValueError, match="non-finite"):
         simulate_heterogeneous("wfbp", build_tiny_model(), cluster,
                                [1.0, 1.0, 1.0, 1.2], fastpath=fastpath)

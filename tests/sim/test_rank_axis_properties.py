@@ -142,8 +142,8 @@ def test_every_config_matches_the_slot_recurrence(recording):
     finals = replay_multirank_batch(timelines, tracers)
     for timeline, tracer, final, specs in zip(timelines, tracers, finals, configs):
         starts, ends = _reference(world, streams, slots, specs)
-        assert timeline._starts.tolist() == starts
-        assert timeline._ends.tolist() == ends
+        assert timeline._result.starts.tolist() == starts
+        assert timeline._result.ends.tolist() == ends
         assert final == timeline.final_time == max(max(row) for row in ends)
         assert len(tracer.spans) == sum(
             end > start
@@ -162,5 +162,5 @@ def test_solo_replay_is_a_batch_of_one(recording):
     for timeline, specs in zip(batch, configs):
         solo = _record(world, streams, slots, specs)
         assert solo.replay() == timeline.final_time
-        assert np.array_equal(solo._starts, timeline._starts)
-        assert np.array_equal(solo._ends, timeline._ends)
+        assert np.array_equal(solo._result.starts, timeline._result.starts)
+        assert np.array_equal(solo._result.ends, timeline._result.ends)
